@@ -179,8 +179,10 @@ void TaskGroup::record_exception() {
 }
 
 void TaskGroup::finish_one() {
+  // Decrement and notify under mutex_: wait() takes mutex_ before it
+  // returns, so a stack-local group outlives this call's last touch of it.
+  std::lock_guard<std::mutex> lock(mutex_);
   if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::lock_guard<std::mutex> lock(mutex_);
     done_cv_.notify_all();
   }
 }
@@ -210,6 +212,8 @@ void TaskGroup::wait() {
   }
   std::exception_ptr error;
   {
+    // Unconditional: taking mutex_ here is what orders this return after
+    // the last finish_one() has released the group (see finish_one).
     std::lock_guard<std::mutex> lock(mutex_);
     error = std::exchange(error_, nullptr);
     failed_.store(false, std::memory_order_release);

@@ -101,6 +101,12 @@ void set_global_threads(std::size_t n);
 /// forked tasks, helping to drain the pool while it waits, and rethrows
 /// the first exception any task threw. Reusable after wait(), including
 /// after an exception.
+///
+/// Join contract: once wait() returns, no pool thread touches the group
+/// again, so a stack-local group may be destroyed at once. For this,
+/// finish_one() decrements pending_ under mutex_ and wait() takes mutex_
+/// before returning, so the last finisher's notify and unlock complete
+/// before the join does.
 class TaskGroup {
  public:
   explicit TaskGroup(ThreadPool& pool) : pool_(pool) {}

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <numeric>
 #include <set>
@@ -172,6 +173,43 @@ TEST_F(RuntimeTest, OversubscribedTaskGroupsDoNotDeadlock) {
   }
   outer.wait();
   EXPECT_EQ(leaf.load(std::memory_order_relaxed), 64);
+}
+
+// Frames for TaskGroupIsUntouchedAfterJoin. Both are noinline and called
+// from the same loop, so the canary array lands on the stack slots that the
+// just-joined parallel_for's TaskGroup occupied. A pool thread that still
+// locks or notifies the group after wait() returned writes into the canary.
+[[gnu::noinline]] void run_eight_block_parallel_for(std::atomic<std::size_t>& covered) {
+  parallel_for(0, 8, 1, [&](std::size_t b, std::size_t e) {
+    covered.fetch_add(e - b, std::memory_order_relaxed);
+  });
+}
+
+[[gnu::noinline]] std::size_t corrupted_canary_words() {
+  constexpr std::size_t kWords = 512;
+  constexpr std::uint64_t kPattern = 0xA5C3F00D5EEDBEEFULL;
+  volatile std::uint64_t canary[kWords];
+  for (std::size_t i = 0; i < kWords; ++i) canary[i] = kPattern ^ i;
+  volatile int spin = 0;
+  for (int i = 0; i < 256; ++i) spin = spin + 1;  // give stale writers time
+  std::size_t corrupted = 0;
+  for (std::size_t i = 0; i < kWords; ++i) {
+    if (canary[i] != (kPattern ^ i)) ++corrupted;
+  }
+  return corrupted;
+}
+
+TEST_F(RuntimeTest, TaskGroupIsUntouchedAfterJoin) {
+  set_global_threads(4);
+  constexpr int kIterations = 200000;
+  std::atomic<std::size_t> covered{0};
+  std::size_t corrupted = 0;
+  for (int it = 0; it < kIterations; ++it) {
+    run_eight_block_parallel_for(covered);
+    corrupted += corrupted_canary_words();
+  }
+  EXPECT_EQ(covered.load(std::memory_order_relaxed), 8u * kIterations);
+  EXPECT_EQ(corrupted, 0u) << "a pool thread wrote to a joined TaskGroup's stack frame";
 }
 
 }  // namespace
